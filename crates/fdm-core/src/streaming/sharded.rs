@@ -96,12 +96,6 @@ pub trait ShardAlgorithm: Sized + Send {
 
     /// Number of distinct retained elements.
     fn stored_elements(&self) -> usize;
-
-    /// Lifetime f32 pre-filter `(hits, fallbacks)` recorded by this
-    /// instance's arena(s); `(0, 0)` when the pre-filter never engaged.
-    fn prefilter_counters(&self) -> (u64, u64) {
-        (0, 0)
-    }
 }
 
 macro_rules! impl_shard_algorithm {
@@ -144,10 +138,6 @@ macro_rules! impl_shard_algorithm {
 
             fn stored_elements(&self) -> usize {
                 <$alg>::stored_elements(self)
-            }
-
-            fn prefilter_counters(&self) -> (u64, u64) {
-                self.store().prefilter_counters()
             }
         }
     };
@@ -272,14 +262,6 @@ impl<S: ShardAlgorithm> ShardedStream<S> {
     /// the stream, so per-shard counts never overlap).
     pub fn stored_elements(&self) -> usize {
         self.shards.iter().map(S::stored_elements).sum()
-    }
-
-    /// Summed f32 pre-filter `(hits, fallbacks)` across all shards.
-    pub fn prefilter_counters(&self) -> (u64, u64) {
-        self.shards
-            .iter()
-            .map(S::prefilter_counters)
-            .fold((0, 0), |(h, f), (sh, sf)| (h + sh, f + sf))
     }
 
     /// Merges the shard summaries into one solution.

@@ -231,12 +231,6 @@ impl ShardAlgorithm for SlidingWindowFdm {
     fn stored_elements(&self) -> usize {
         SlidingWindowFdm::stored_elements(self)
     }
-
-    fn prefilter_counters(&self) -> (u64, u64) {
-        let (ph, pf) = ShardAlgorithm::prefilter_counters(&self.primary);
-        let (sh, sf) = ShardAlgorithm::prefilter_counters(&self.secondary);
-        (ph + sh, pf + sf)
-    }
 }
 
 /// # Persistence

@@ -86,12 +86,6 @@ pub trait DynSummary: Send + Sync + std::fmt::Debug {
         None
     }
 
-    /// Lifetime f32 pre-filter `(hits, fallbacks)` recorded while serving
-    /// this summary; `(0, 0)` when the pre-filter never engaged.
-    fn prefilter_counters(&self) -> (u64, u64) {
-        (0, 0)
-    }
-
     /// The retained elements (the summary's union export), in arena order;
     /// for sharded summaries, shard-major. This is what a distributed
     /// merge ([`merge_summaries`]) streams through the merge instance —
@@ -149,10 +143,6 @@ where
         Snapshottable::state_patch_since(self, cursor)
     }
 
-    fn prefilter_counters(&self) -> (u64, u64) {
-        ShardAlgorithm::prefilter_counters(self)
-    }
-
     fn retained_elements(&self) -> Vec<Element> {
         ShardAlgorithm::retained_elements(self)
     }
@@ -206,10 +196,6 @@ where
 
     fn state_patch_since(&self, cursor: &serde::Value) -> Option<StatePatch> {
         Snapshottable::state_patch_since(self, cursor)
-    }
-
-    fn prefilter_counters(&self) -> (u64, u64) {
-        ShardedStream::prefilter_counters(self)
     }
 
     fn retained_elements(&self) -> Vec<Element> {

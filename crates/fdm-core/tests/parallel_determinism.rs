@@ -1,6 +1,6 @@
-//! Serial-vs-parallel determinism: with the `parallel` cargo feature the
-//! streaming algorithms fan batch probing and per-guess post-processing out
-//! over threads, and the results must be *identical* to a forced-sequential
+//! Serial-vs-parallel determinism: with the `parallel` cargo feature
+//! sharded ingestion and the streaming algorithms' per-guess
+//! post-processing fan out over threads, and the results must be *identical* to a forced-sequential
 //! run — same retained elements, same solution ids, same diversity bits.
 //!
 //! Without the feature both sides are sequential and the tests pass
@@ -13,7 +13,7 @@ use fdm_core::metric::Metric;
 use fdm_core::point::Element;
 use fdm_core::streaming::sfdm1::{Sfdm1, Sfdm1Config};
 use fdm_core::streaming::sfdm2::{Sfdm2, Sfdm2Config};
-use fdm_core::streaming::sharded::ShardedStream;
+use fdm_core::streaming::sharded::{ShardAlgorithm, ShardedStream};
 use fdm_core::streaming::unconstrained::{StreamingDiversityMaximization, StreamingDmConfig};
 use rand::prelude::*;
 
@@ -207,4 +207,90 @@ fn parallel_finalize_tie_break_matches_sequential() {
     let pa = a.finalize().unwrap();
     let pb = b.finalize().unwrap();
     assert_eq!(pa.ids(), pb.ids());
+}
+
+/// Arena order of every retained element, by external id.
+fn retained_ids(elements: Vec<Element>) -> Vec<usize> {
+    elements.iter().map(|e| e.id).collect()
+}
+
+/// Feeds `elements` to a fresh `S` in batches of `batch` and to another
+/// one element by element; both must retain the same elements in the same
+/// arena order.
+fn assert_batch_retains_like_insert<S: ShardAlgorithm>(
+    config: &S::Config,
+    elements: &[Element],
+    batch: usize,
+    what: &str,
+) {
+    let mut batched = S::build(config).unwrap();
+    for chunk in elements.chunks(batch) {
+        batched.insert_batch(chunk);
+    }
+    let mut single = S::build(config).unwrap();
+    for e in elements {
+        single.insert(e);
+    }
+    assert_eq!(batched.processed(), single.processed(), "{what}: processed");
+    assert_eq!(
+        retained_ids(batched.retained_elements()),
+        retained_ids(single.retained_elements()),
+        "{what}: insert_batch retained different elements than insert"
+    );
+}
+
+#[test]
+fn insert_batch_retains_exactly_what_insert_retains() {
+    // Under `parallel` the batch entry point is the only place a per-batch
+    // code path could diverge from the element path; pin the retained
+    // arenas id-for-id for every ladder algorithm, unsharded and sharded.
+    for (trial, metric) in metrics().into_iter().enumerate() {
+        let seed = 500 + trial as u64;
+        let d2 = random_dataset(400, 2, 8, metric, seed);
+        let sfdm1 = Sfdm1Config {
+            constraint: FairnessConstraint::new(vec![4, 3]).unwrap(),
+            epsilon: 0.1,
+            bounds: d2.sampled_distance_bounds(100, 2.0).unwrap(),
+            metric,
+        };
+        let elements2: Vec<Element> = d2.iter().collect();
+        assert_batch_retains_like_insert::<Sfdm1>(&sfdm1, &elements2, 64, "sfdm1");
+
+        let d3 = random_dataset(500, 3, 6, metric, seed + 50);
+        let sfdm2 = Sfdm2Config {
+            constraint: FairnessConstraint::new(vec![2, 3, 2]).unwrap(),
+            epsilon: 0.1,
+            bounds: d3.sampled_distance_bounds(100, 2.0).unwrap(),
+            metric,
+        };
+        let elements3: Vec<Element> = d3.iter().collect();
+        assert_batch_retains_like_insert::<Sfdm2>(&sfdm2, &elements3, 96, "sfdm2");
+
+        let unconstrained = StreamingDmConfig {
+            k: 10,
+            epsilon: 0.1,
+            bounds: d3.sampled_distance_bounds(100, 2.0).unwrap(),
+            metric,
+        };
+        assert_batch_retains_like_insert::<StreamingDiversityMaximization>(
+            &unconstrained,
+            &elements3,
+            128,
+            "unconstrained",
+        );
+
+        let mut batched: ShardedStream<Sfdm2> = ShardedStream::new(sfdm2.clone(), 3).unwrap();
+        for chunk in elements3.chunks(128) {
+            batched.insert_batch(chunk);
+        }
+        let mut single: ShardedStream<Sfdm2> = ShardedStream::new(sfdm2, 3).unwrap();
+        for e in &elements3 {
+            single.insert(e);
+        }
+        assert_eq!(
+            retained_ids(batched.retained_elements()),
+            retained_ids(single.retained_elements()),
+            "{metric:?}: sharded insert_batch retained different elements than insert"
+        );
+    }
 }

@@ -530,9 +530,9 @@ impl Coordinator {
         frame: MergeFrame,
     ) -> Result<(), ErrorReply> {
         if frame.delta {
-            // Unreachable by construction (a worker never answers a delta
-            // to a `(0, 0)` anchor — export epochs start at 1), but a
-            // protocol violation must not become a panic.
+            // A well-behaved worker never answers a delta to a `(0, 0)`
+            // anchor (export epochs start at 1), but a protocol violation
+            // by a peer must not become a panic.
             return Err(ErrorReply::generic(format!(
                 "worker {} answered a delta frame to an unanchored MERGE",
                 self.workers[widx].addr
@@ -566,10 +566,10 @@ impl Coordinator {
             .as_ref()
             .map_or((0, 0), |c| (c.epoch, c.crc));
         let frame = self.merge_frame(stream, name, widx, anchor)?;
-        if frame.delta {
-            let cache = stream.caches[widx]
-                .as_mut()
-                .expect("a delta reply implies a cached anchor was sent");
+        // A delta reply without a cached anchor is a worker protocol
+        // violation; it falls through to `anchor_full`, which rejects it
+        // with a typed error.
+        if let (true, Some(cache)) = (frame.delta, stream.caches[widx].as_mut()) {
             let applied = SnapshotDelta::from_bytes(&frame.bytes)
                 .and_then(|delta| delta.apply_to(&cache.base));
             match applied {

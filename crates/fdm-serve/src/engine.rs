@@ -1637,15 +1637,12 @@ impl Engine {
             return coordinator.stats(name);
         }
         let entry = self.entry(name)?;
-        let (params, processed, stored, f32_hits, f32_fallbacks) = {
+        let (params, processed, stored) = {
             let summary = read_lock(&entry.summary);
-            let (hits, fallbacks) = summary.prefilter_counters();
             (
                 summary.params(),
                 summary.processed(),
                 summary.stored_elements(),
-                hits,
-                fallbacks,
             )
         };
         let counters = lock(&entry.durable).counters;
@@ -1657,8 +1654,7 @@ impl Engine {
         Ok(Payload::Stats(format!(
             "stream={name} algorithm={} processed={processed} stored={stored} dim={} k={} \
              shards={}{window} wal_records={} snapshots={} deltas={} dirty_bytes={} \
-             compactions={} last_snapshot_bytes={} last_snapshot_format={} kernel={} \
-             f32_hits={f32_hits} f32_fallbacks={f32_fallbacks}",
+             compactions={} last_snapshot_bytes={} last_snapshot_format={} kernel={}",
             params.algorithm,
             params.dim,
             params.k,
@@ -1675,8 +1671,8 @@ impl Engine {
     }
 
     /// Renders the full Prometheus text exposition for `/metrics`: the
-    /// per-stream series (geometry, persistence gauges, pre-filter
-    /// counters, latency histograms) followed by the process-wide ones.
+    /// per-stream series (geometry, persistence gauges, latency
+    /// histograms) followed by the process-wide ones.
     ///
     /// Same lock discipline as `STATS`: per stream, a short summary read
     /// lock to copy the cheap numbers, dropped *before* the durable mutex
@@ -1689,8 +1685,6 @@ impl Engine {
             name: String,
             processed: usize,
             stored: usize,
-            f32_hits: u64,
-            f32_fallbacks: u64,
             counters: PersistCounters,
             metrics: Arc<StreamMetrics>,
         }
@@ -1706,23 +1700,15 @@ impl Engine {
         let samples: Vec<StreamSample> = entries
             .into_iter()
             .map(|(name, entry)| {
-                let (processed, stored, f32_hits, f32_fallbacks) = {
+                let (processed, stored) = {
                     let summary = read_lock(&entry.summary);
-                    let (hits, fallbacks) = summary.prefilter_counters();
-                    (
-                        summary.processed(),
-                        summary.stored_elements(),
-                        hits,
-                        fallbacks,
-                    )
+                    (summary.processed(), summary.stored_elements())
                 };
                 let counters = lock(&entry.durable).counters;
                 StreamSample {
                     name,
                     processed,
                     stored,
-                    f32_hits,
-                    f32_fallbacks,
                     counters,
                     metrics: entry.metrics.clone(),
                 }
@@ -1817,30 +1803,6 @@ impl Engine {
             out.push_str(&format!(
                 "fdm_last_snapshot_bytes{{stream=\"{}\"}} {}\n",
                 s.name, s.counters.last_snapshot_bytes
-            ));
-        }
-        metrics::help_type(
-            &mut out,
-            "fdm_prefilter_hits_total",
-            "counter",
-            "Distance evaluations settled by the f32 pre-filter's certified band.",
-        );
-        for s in &samples {
-            out.push_str(&format!(
-                "fdm_prefilter_hits_total{{stream=\"{}\"}} {}\n",
-                s.name, s.f32_hits
-            ));
-        }
-        metrics::help_type(
-            &mut out,
-            "fdm_prefilter_fallbacks_total",
-            "counter",
-            "Distance evaluations that fell back to full f64 arithmetic.",
-        );
-        for s in &samples {
-            out.push_str(&format!(
-                "fdm_prefilter_fallbacks_total{{stream=\"{}\"}} {}\n",
-                s.name, s.f32_fallbacks
             ));
         }
         metrics::help_type(

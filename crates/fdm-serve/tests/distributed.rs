@@ -362,21 +362,45 @@ fn scratch(tag: &str) -> PathBuf {
     dir
 }
 
+/// A spawned worker process that is SIGKILLed and reaped when dropped —
+/// including when a failing assertion unwinds the test — so no test leaves
+/// a server running behind it.
+struct WorkerProcess(std::process::Child);
+
+impl std::ops::Deref for WorkerProcess {
+    type Target = std::process::Child;
+
+    fn deref(&self) -> &Self::Target {
+        &self.0
+    }
+}
+
+impl std::ops::DerefMut for WorkerProcess {
+    fn deref_mut(&mut self) -> &mut Self::Target {
+        &mut self.0
+    }
+}
+
+impl Drop for WorkerProcess {
+    fn drop(&mut self) {
+        // Either call fails harmlessly if the test already killed and
+        // reaped the child, or if it exited at a crash point.
+        let _ = self.0.kill();
+        let _ = self.0.wait();
+    }
+}
+
 /// Spawns a real `fdm-serve` worker with a TCP listener and returns the
 /// child plus its `ADDR:PORT` (parsed from the "listening on" stderr
 /// line). Mirrors the crash-matrix helper; stdin is held open so the
 /// process keeps serving.
-fn spawn_worker(dir: &Path, crash_point: Option<&str>) -> (std::process::Child, String) {
+fn spawn_worker(dir: &Path, crash_point: Option<&str>) -> (WorkerProcess, String) {
     spawn_worker_on(dir, crash_point, "127.0.0.1:0")
 }
 
 /// `spawn_worker` with an explicit listen address, for restarting a
 /// killed worker on the port a still-running coordinator already holds.
-fn spawn_worker_on(
-    dir: &Path,
-    crash_point: Option<&str>,
-    listen: &str,
-) -> (std::process::Child, String) {
+fn spawn_worker_on(dir: &Path, crash_point: Option<&str>, listen: &str) -> (WorkerProcess, String) {
     use std::io::{BufRead, BufReader};
     let mut command = Command::new(env!("CARGO_BIN_EXE_fdm-serve"));
     command
@@ -394,7 +418,7 @@ fn spawn_worker_on(
     if let Some(point) = crash_point {
         command.env("FDM_SERVE_CRASH_POINT", point);
     }
-    let mut child = command.spawn().expect("spawn fdm-serve worker");
+    let mut child = WorkerProcess(command.spawn().expect("spawn fdm-serve worker"));
     let mut stderr = BufReader::new(child.stderr.take().unwrap());
     let mut addr = None;
     let mut line = String::new();
